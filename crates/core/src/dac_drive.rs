@@ -5,7 +5,9 @@
 //! processed in batches; a batch's effects — acks, replica pushes, query
 //! responses — are released only when its modeled processing cost has
 //! elapsed, so storage work is never interleaved with network
-//! transmission, exactly as in the prototype.
+//! transmission, exactly as in the prototype. On a real clock the cost
+//! model is [`mind_store::DacCostModel::ZERO`]: the store work already
+//! took its wall time, and a batch releases one timer tick later.
 
 use crate::messages::{CarriedFilter, MindPayload, Replication};
 use crate::node::{token, MindNode, Out};

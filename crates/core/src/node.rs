@@ -46,6 +46,9 @@ pub(crate) fn token(kind: u64, arg: u64) -> u64 {
 #[derive(Debug, Clone, Copy)]
 pub struct MindConfig {
     /// Storage processing costs (models the prototype's MySQL + JDBC).
+    /// The simulator charges them as simulated time; hosts on a real
+    /// clock use [`DacCostModel::ZERO`], since their store work already
+    /// ran on the wall clock.
     pub dac_cost: DacCostModel,
     /// Store backend for every per-version record store on this node
     /// (`MIND_STORE=kdtree|bitmap`; see [`StoreKind::from_env`]).

@@ -254,6 +254,21 @@ impl MindNode {
             .map(|t| t.outcome())
     }
 
+    /// Like [`MindNode::query_outcome`], but a done query's tracker is
+    /// removed as its outcome is returned: each outcome is handed out
+    /// once, and a long-running host does not keep every finished
+    /// query's records alive. Late plans and responses for the id are
+    /// ignored, like those of any unknown query.
+    pub fn take_query_outcome(&mut self, query_id: u64) -> Option<crate::query::QueryOutcome> {
+        if !self.queries.get(&query_id)?.done() {
+            return None;
+        }
+        // Completion already retired the timers; the metadata goes with
+        // the tracker.
+        self.query_meta.remove(&query_id);
+        self.queries.remove(&query_id).map(|t| t.outcome())
+    }
+
     /// Section 3.6: the first node whose region abuts the query splits it
     /// into per-region sub-queries, announces the plan to the originator,
     /// answers its own regions, and routes the rest.
@@ -438,5 +453,80 @@ impl MindNode {
             _ => return false,
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{ClusterConfig, MindCluster, MindPayload, Replication};
+    use mind_histogram::CutTree;
+    use mind_types::node::SECONDS;
+    use mind_types::{AttrDef, AttrKind, BitCode, HyperRect, IndexSchema, NodeId, Record};
+
+    #[test]
+    fn take_query_outcome_hands_out_once_and_frees_the_tracker() {
+        let mut cluster = MindCluster::new(ClusterConfig::planetlab(8, 3));
+        let schema = IndexSchema::new(
+            "t",
+            vec![
+                AttrDef::new("x", AttrKind::Generic, 0, 1023),
+                AttrDef::new("y", AttrKind::Generic, 0, 1023),
+            ],
+            2,
+        );
+        let cuts = CutTree::even(schema.bounds(), 6);
+        cluster
+            .create_index(NodeId(0), schema, cuts, Replication::None)
+            .unwrap();
+        cluster.run_for(30 * SECONDS);
+        for i in 0..64u64 {
+            cluster
+                .insert(NodeId(i as u32 % 8), "t", Record::new(vec![i * 16, i * 16]))
+                .unwrap();
+        }
+        cluster.run_for(30 * SECONDS);
+
+        let at = NodeId(2);
+        let rect = HyperRect::new(vec![0, 0], vec![1023, 1023]);
+        let qid = cluster.query(at, "t", rect, vec![]).unwrap();
+        assert!(cluster.wait_until(60 * SECONDS, |c| c.query_outcome(at, qid).is_some()));
+        let take = |c: &mut MindCluster| {
+            c.world_mut()
+                .with_node(at, move |n, _now, _out| n.take_query_outcome(qid))
+        };
+        let tracked = move |n: &crate::MindNode| {
+            n.queries.contains_key(&qid) || n.query_meta.contains_key(&qid)
+        };
+
+        // The read-only accessor leaves the tracker in place.
+        assert!(cluster.read_node(at, tracked));
+        let outcome = take(&mut cluster).expect("a done query yields its outcome");
+        assert!(outcome.complete);
+        assert_eq!(outcome.records.len(), 64);
+        assert!(
+            take(&mut cluster).is_none(),
+            "the outcome is handed out once"
+        );
+        assert!(
+            !cluster.read_node(at, tracked),
+            "tracker and metadata freed"
+        );
+
+        // A late duplicate response for the taken id is ignored.
+        let responder = NodeId(5);
+        cluster.world_mut().with_node(at, move |n, now, out| {
+            let late = MindPayload::QueryResponse {
+                query_id: qid,
+                version: 0,
+                code: BitCode::parse("0").unwrap(),
+                responder,
+                records: vec![Record::new(vec![1, 1])],
+            };
+            n.on_direct(now, responder, late, out);
+        });
+        cluster.run_for(SECONDS);
+        assert!(!cluster.read_node(at, tracked), "no tracker resurrected");
+        assert!(take(&mut cluster).is_none());
+        assert!(cluster.query_outcome(at, qid).is_none());
     }
 }

@@ -468,6 +468,31 @@ impl MindNode {
         self.seen_ops.len()
     }
 
+    /// Rows this node originated that are not yet acknowledged as stored:
+    /// those still buffered in open wire batches plus those carried by
+    /// unacked `Insert`/`InsertBatch` ops. Drops to zero once every
+    /// accepted row is stored at its owner (or its op is abandoned after
+    /// the retry budget). Replica pushes this node owes as an owner are
+    /// not counted. With retries off (`retry_timeout == 0`) ops are not
+    /// tracked, so only the buffered rows count.
+    pub fn unacked_insert_rows(&self) -> usize {
+        // Routed ops are the inserts this node originated; replica pushes
+        // go direct.
+        let pending: usize = self
+            .pending_ops
+            .values()
+            .filter(|op| matches!(op.target, OpTarget::Routed(_)))
+            .map(|op| {
+                if let MindPayload::InsertBatch { records, .. } = &op.payload {
+                    records.len()
+                } else {
+                    1
+                }
+            })
+            .sum();
+        self.buffered_inserts() + pending
+    }
+
     /// Operations awaiting their ack.
     pub fn pending_ops_len(&self) -> usize {
         self.pending_ops.len()
@@ -556,5 +581,50 @@ mod tests {
         assert!(s.observe(id(3, 1), hz(101, 0)));
         // A straggler from the dead incarnation is a stale duplicate.
         assert!(s.observe(id(3, 61), hz(100, 50)));
+    }
+
+    #[test]
+    fn unacked_insert_rows_counts_buffered_and_in_flight_until_stored() {
+        use crate::{ClusterConfig, MindCluster, Replication};
+        use mind_histogram::CutTree;
+        use mind_types::node::SECONDS;
+        use mind_types::{AttrDef, AttrKind, HyperRect, IndexSchema, NodeId, Record};
+
+        let mut cfg = ClusterConfig::planetlab(8, 5);
+        cfg.mind.insert_batch_max = 8;
+        let mut cluster = MindCluster::new(cfg);
+        let schema = IndexSchema::new(
+            "t",
+            vec![
+                AttrDef::new("x", AttrKind::Generic, 0, 1023),
+                AttrDef::new("y", AttrKind::Generic, 0, 1023),
+            ],
+            2,
+        );
+        let cuts = CutTree::even(schema.bounds(), 6);
+        cluster
+            .create_index(NodeId(0), schema, cuts, Replication::None)
+            .unwrap();
+        cluster.run_for(30 * SECONDS);
+
+        // 20 rows into one region code: two full batches of 8 leave at
+        // once (in flight, unacked) and 4 rows stay buffered.
+        let at = NodeId(3);
+        for i in 0..20u64 {
+            cluster.insert(at, "t", Record::new(vec![i, i])).unwrap();
+        }
+        let unacked = |c: &MindCluster| c.read_node(at, |n| n.unacked_insert_rows());
+        let buffered = cluster.read_node(at, |n| n.buffered_inserts());
+        assert_eq!(buffered, 4);
+        assert_eq!(unacked(&cluster), 20);
+
+        cluster.run_for(30 * SECONDS);
+        assert_eq!(unacked(&cluster), 0, "every row stored and acked");
+        let rect = HyperRect::new(vec![0, 0], vec![1023, 1023]);
+        let qid = cluster.query(at, "t", rect, vec![]).unwrap();
+        assert!(cluster.wait_until(60 * SECONDS, |c| c.query_outcome(at, qid).is_some()));
+        let outcome = cluster.query_outcome(at, qid).unwrap();
+        assert!(outcome.complete);
+        assert_eq!(outcome.records.len(), 20);
     }
 }

@@ -9,7 +9,10 @@
 //!   outbound connections; it processes one event at a time, so the logic
 //!   sees exactly the same single-threaded world as under the simulator,
 //! * applications call [`TcpHost::invoke`] to run a closure against the
-//!   logic (the `with_node` of the real world).
+//!   logic (the `with_node` of the real world), or
+//!   [`HostHandle::wait_for`] to block until a predicate over the logic
+//!   holds: the driver re-checks it after every event, so the caller
+//!   wakes on the event that satisfied it instead of polling.
 //!
 //! Hardening (PR 9): sends to a live-but-disconnected peer attempt one
 //! reconnect before counting a drop; repeated dial failures back off with
@@ -42,8 +45,13 @@ use std::time::{Duration, Instant};
 /// A closure run on the hosted node by the driver thread.
 type InvokeFn<L> = Box<dyn FnOnce(&mut L, SimTime, &mut Outbox<<L as NodeLogic>::Msg>) + Send>;
 
+/// A registered [`HostHandle::wait_for`] predicate. Returns `true` once it
+/// has replied, after which the driver drops it.
+type WaitFn<L> = Box<dyn FnMut(&mut L) -> bool + Send>;
+
 enum Cmd<L: NodeLogic> {
     Invoke(InvokeFn<L>),
+    Wait(WaitFn<L>),
     Inbound(NodeId, L::Msg),
     Shutdown,
 }
@@ -159,6 +167,30 @@ impl<L: NodeLogic> HostHandle<L> {
         self.cmd_tx
             .send(Cmd::Invoke(Box::new(move |logic, now, out| {
                 let _ = tx.send(f(logic, now, out));
+            })))
+            .ok()?;
+        rx.recv().ok()
+    }
+
+    /// Blocks until `pred` returns `Some` and returns that value; `None`
+    /// if the host shuts down first. The driver thread evaluates `pred`
+    /// on registration and again after every event it processes (timer,
+    /// inbound message, invoke), so the caller wakes on the event that
+    /// made it true. `pred` must eventually hold (e.g. behind a logic
+    /// timer that guarantees it) or the caller waits until halt.
+    pub fn wait_for<R, F>(&self, mut pred: F) -> Option<R>
+    where
+        R: Send + 'static,
+        F: FnMut(&mut L) -> Option<R> + Send + 'static,
+    {
+        let (tx, rx) = bounded(1);
+        self.cmd_tx
+            .send(Cmd::Wait(Box::new(move |logic| match pred(logic) {
+                Some(r) => {
+                    let _ = tx.send(r);
+                    true
+                }
+                None => false,
             })))
             .ok()?;
         rx.recv().ok()
@@ -540,6 +572,9 @@ where
         }
     };
 
+    // Pending `wait_for` predicates, re-checked after every event.
+    let mut waiters: Vec<WaitFn<L>> = Vec::new();
+
     let mut out = Outbox::with_timer_seq(timer_seq);
     let t0 = now();
     logic.on_start(t0, &mut out);
@@ -559,6 +594,7 @@ where
             let mut out = Outbox::with_timer_seq(timer_seq);
             logic.on_timer(now(), e.token, &mut out);
             flush(&mut out, &mut timers, &mut live, &mut timer_seq, now());
+            waiters.retain_mut(|w| !w(&mut logic));
         }
         // Wait for the next command or timer deadline.
         let wait = timers
@@ -571,11 +607,18 @@ where
                 let mut out = Outbox::with_timer_seq(timer_seq);
                 logic.on_message(now(), from, msg, &mut out);
                 flush(&mut out, &mut timers, &mut live, &mut timer_seq, now());
+                waiters.retain_mut(|w| !w(&mut logic));
             }
             Ok(Cmd::Invoke(f)) => {
                 let mut out = Outbox::with_timer_seq(timer_seq);
                 f(&mut logic, now(), &mut out);
                 flush(&mut out, &mut timers, &mut live, &mut timer_seq, now());
+                waiters.retain_mut(|w| !w(&mut logic));
+            }
+            Ok(Cmd::Wait(mut w)) => {
+                if !w(&mut logic) {
+                    waiters.push(w);
+                }
             }
             Ok(Cmd::Shutdown) => break,
             Err(RecvTimeoutError::Timeout) => {}
@@ -586,6 +629,8 @@ where
     // Graceful drain: answer any invokes already queued (their callers
     // are blocked on the reply), count off queued inbounds, and flush
     // outbound buffers so acks written just before shutdown reach peers.
+    // Pending waiters are dropped: their callers get `None`.
+    drop(waiters);
     loop {
         match cmd_rx.try_recv() {
             Ok(Cmd::Invoke(f)) => {
@@ -596,6 +641,7 @@ where
             Ok(Cmd::Inbound(..)) => {
                 stats.inbound_pending.fetch_sub(1, Ordering::Relaxed);
             }
+            Ok(Cmd::Wait(_)) => {}
             Ok(Cmd::Shutdown) | Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
         }
     }
@@ -691,6 +737,111 @@ mod tests {
         );
         assert!(a_logic.timer_fired, "timers must fire on the real clock");
         drop(b);
+    }
+
+    fn lone_host() -> TcpHost<Echo> {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers: HashMap<NodeId, SocketAddr> = [(NodeId(0), l.local_addr().unwrap())].into();
+        TcpHost::spawn(
+            NodeId(0),
+            l,
+            peers,
+            Echo {
+                got: vec![],
+                timer_fired: false,
+            },
+        )
+        .unwrap()
+    }
+
+    /// Runs `wait_for(pred)` on its own thread. Returns a receiver that
+    /// fires once `pred` has been evaluated for the first time (so the
+    /// waiter is registered) and one for the wait's result.
+    fn spawn_waiter<R: Send + 'static>(
+        handle: HostHandle<Echo>,
+        mut pred: impl FnMut(&mut Echo) -> Option<R> + Send + 'static,
+    ) -> (Receiver<()>, Receiver<Option<R>>) {
+        let (reg_tx, reg_rx) = unbounded();
+        let (res_tx, res_rx) = unbounded();
+        std::thread::spawn(move || {
+            let r = handle.wait_for(move |l| {
+                let _ = reg_tx.send(());
+                pred(l)
+            });
+            let _ = res_tx.send(r);
+        });
+        (reg_rx, res_rx)
+    }
+
+    const WAIT: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn wait_for_answers_a_true_predicate_at_once() {
+        let a = lone_host();
+        let h = a.handle();
+        // Let the start timer fire; after it the host sees no more events.
+        assert_eq!(h.wait_for(|l| l.timer_fired.then_some(7)), Some(7));
+        let (_reg, res) = spawn_waiter(h, |l| Some(l.got.len()));
+        assert_eq!(
+            res.recv_timeout(WAIT)
+                .expect("a true predicate must not wait"),
+            Some(0)
+        );
+        a.shutdown();
+    }
+
+    #[test]
+    fn wait_for_wakes_on_the_inbound_message_that_satisfies_it() {
+        let (a, b) = spawn_pair();
+        let (reg, res) = spawn_waiter(b.handle(), |l| {
+            l.got
+                .iter()
+                .find(|&&(_, v)| v == 150)
+                .map(|&(from, _)| from)
+        });
+        reg.recv_timeout(WAIT).expect("waiter registered");
+        assert!(
+            res.try_recv().is_err(),
+            "predicate is false until the message lands"
+        );
+        // 150 ≥ 100: b records it and does not reply.
+        a.invoke(|_l, _n, out| out.send(NodeId(1), Ping(150)));
+        assert_eq!(res.recv_timeout(WAIT).expect("woken"), Some(NodeId(0)));
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn wait_for_wakes_on_the_timer_that_satisfies_it() {
+        let a = lone_host();
+        let h = a.handle();
+        assert_eq!(h.wait_for(|l| l.timer_fired.then_some(())), Some(()));
+        a.invoke(|l, _n, _o| l.timer_fired = false);
+        let (reg, res) = spawn_waiter(h, |l| l.timer_fired.then_some(()));
+        reg.recv_timeout(WAIT).expect("waiter registered");
+        let t0 = Instant::now();
+        a.invoke(|_l, _n, out| {
+            out.set_timer(50_000, 42); // 50 ms
+        });
+        assert_eq!(res.recv_timeout(WAIT).expect("woken"), Some(()));
+        assert!(
+            t0.elapsed() >= Duration::from_millis(45),
+            "woke before the timer"
+        );
+        a.shutdown();
+    }
+
+    #[test]
+    fn pending_waiter_gets_none_at_halt() {
+        let a = lone_host();
+        let (reg, res) = spawn_waiter(a.handle(), |_l| None::<()>);
+        reg.recv_timeout(WAIT).expect("waiter registered");
+        a.halt();
+        assert_eq!(
+            res.recv_timeout(WAIT)
+                .expect("a halted host must not hang a waiter"),
+            None
+        );
     }
 
     #[test]

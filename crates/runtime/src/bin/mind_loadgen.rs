@@ -7,10 +7,12 @@
 //!              [--timeout-s 90] [--min-insert-rate 0] [--shutdown]
 //! ```
 //!
-//! Prints stable `key=value` lines (rates, p50/p99/p999 for inserts and
-//! queries, `conserved=`, `audit_clean=`). Exits nonzero if the run
-//! errors, conservation or the audit fails, or the sustained insert rate
-//! falls below `--min-insert-rate`. `--shutdown` sends every node a
+//! Prints stable `key=value` lines (the acceptance rate `insert_rate` and
+//! the stored rate `store_rate`, p50/p99/p999 for inserts and queries,
+//! `queries_complete=`, `conserved=`, `audit_clean=`). Exits nonzero if
+//! the run errors, a query comes back incomplete, conservation or the
+//! audit fails, or the insert acceptance rate falls below
+//! `--min-insert-rate`. `--shutdown` sends every node a
 //! clean control-protocol shutdown after the run.
 
 use mind_core::Replication;
@@ -124,6 +126,14 @@ fn main() -> ExitCode {
         eprintln!(
             "mind-loadgen: FAIL conservation ({} stored != {} inserted)",
             report.stored_total, report.inserts_total
+        );
+        ok = false;
+    }
+    if report.queries_complete < report.queries_total {
+        eprintln!(
+            "mind-loadgen: FAIL {} of {} queries incomplete",
+            report.queries_total - report.queries_complete,
+            report.queries_total
         );
         ok = false;
     }

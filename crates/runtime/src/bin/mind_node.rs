@@ -17,7 +17,7 @@ use mind_core::{MindConfig, MindNode};
 use mind_net::TcpHost;
 use mind_overlay::{OverlayConfig, StaticTopology};
 use mind_runtime::{server, ClusterSpec};
-use mind_store::StoreKind;
+use mind_store::{DacCostModel, StoreKind};
 use mind_types::node::MILLIS;
 use mind_types::NodeId;
 use std::net::TcpListener;
@@ -122,6 +122,9 @@ fn main() -> ExitCode {
         .map(|d| d.as_millis() as u64)
         .unwrap_or(1);
     let mind_cfg = MindConfig {
+        // The store work runs on this process's wall clock; the
+        // simulator's MySQL calibration would charge it twice.
+        dac_cost: DacCostModel::ZERO,
         store_kind: StoreKind::from_env_runtime(),
         retry_timeout: args.retry_ms * MILLIS,
         anti_entropy_interval: args.anti_entropy_ms * MILLIS,

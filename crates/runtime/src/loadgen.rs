@@ -3,6 +3,12 @@
 //! sustained ops/s plus p50/p99/p999 latency, and verify the final state
 //! (ops conservation, fleet-wide audit cleanliness).
 //!
+//! Two insert rates are reported. `insert_rate` counts rows as the
+//! control calls acknowledge them: the origin node has accepted them for
+//! routing and holds at most a small window of accepted rows not yet
+//! stored. `store_rate` counts them once they are stored at their owners,
+//! so it is never above `insert_rate`.
+//!
 //! Lives in the library (not the `mind-loadgen` binary) so the smoke
 //! tests drive exactly the code path the binary ships.
 
@@ -58,8 +64,13 @@ pub struct LoadReport {
     pub inserts_total: u64,
     /// Wall time of the insert phase.
     pub insert_wall: Duration,
-    /// Sustained insert throughput, rows per second.
+    /// Rows acknowledged per second of the insert phase: the rate at which
+    /// origin nodes accept rows (paced by their flow-control window).
     pub insert_rate: f64,
+    /// Rows stored per second, from the first insert until the primary
+    /// rows summed over nodes equal the rows acknowledged (or the
+    /// deadline passed).
+    pub store_rate: f64,
     /// Per-request insert latency (µs); one sample per batched request.
     pub insert_hist: LatencyHistogram,
     /// Per-query latency (µs).
@@ -84,7 +95,7 @@ impl LoadReport {
         let (ip50, ip99, ip999) = self.insert_hist.percentiles();
         let (qp50, qp99, qp999) = self.query_hist.percentiles();
         format!(
-            "inserts_total={}\ninsert_wall_ms={}\ninsert_rate={:.0}\n\
+            "inserts_total={}\ninsert_wall_ms={}\ninsert_rate={:.0}\nstore_rate={:.0}\n\
              insert_p50_us={ip50}\ninsert_p99_us={ip99}\ninsert_p999_us={ip999}\n\
              queries_complete={}/{}\n\
              query_p50_us={qp50}\nquery_p99_us={qp99}\nquery_p999_us={qp999}\n\
@@ -92,6 +103,7 @@ impl LoadReport {
             self.inserts_total,
             self.insert_wall.as_millis(),
             self.insert_rate,
+            self.store_rate,
             self.queries_complete,
             self.queries_total,
             self.stored_total,
@@ -241,6 +253,29 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
     let insert_wall = insert_start.elapsed();
     let insert_rate = inserts_total as f64 / insert_wall.as_secs_f64().max(1e-9);
 
+    // Conservation: every acked row is stored exactly once (primaries).
+    // Checked before the queries, so the time it took is the store time.
+    let mut stored_total;
+    let conserved = loop {
+        stored_total = 0;
+        for c in clients.iter_mut() {
+            match c.call(&ControlRequest::PrimaryRows {
+                index: opts.index.clone(),
+            })? {
+                ControlResponse::Count(k) => stored_total += k,
+                r => return Err(other_err(format!("rows failed: {r:?}"))),
+            }
+        }
+        if stored_total == inserts_total {
+            break true;
+        }
+        if Instant::now() >= deadline {
+            break false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let store_rate = stored_total as f64 / insert_start.elapsed().as_secs_f64().max(1e-9);
+
     // Query phase: timestamp slices, round-robin over nodes.
     let mut query_hist = LatencyHistogram::new();
     let mut queries_complete = 0u32;
@@ -262,27 +297,6 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
             r => return Err(other_err(format!("query failed: {r:?}"))),
         }
     }
-
-    // Conservation: every acked row is stored exactly once (primaries).
-    let mut stored_total;
-    let conserved = loop {
-        stored_total = 0;
-        for c in clients.iter_mut() {
-            match c.call(&ControlRequest::PrimaryRows {
-                index: opts.index.clone(),
-            })? {
-                ControlResponse::Count(k) => stored_total += k,
-                r => return Err(other_err(format!("rows failed: {r:?}"))),
-            }
-        }
-        if stored_total == inserts_total {
-            break true;
-        }
-        if Instant::now() >= deadline {
-            break false;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
 
     // Fleet-wide audit: assemble per-node snapshots and run the settled
     // invariant catalog.
@@ -312,6 +326,7 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
         inserts_total,
         insert_wall,
         insert_rate,
+        store_rate,
         insert_hist,
         query_hist,
         queries_complete,

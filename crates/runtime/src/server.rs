@@ -2,15 +2,19 @@
 //! onto the hosted node's driver thread.
 //!
 //! One thread per control connection; each request becomes one
-//! [`HostHandle::invoke`] (or a short invoke-poll loop for distributed
-//! queries, which the node answers asynchronously). Shutdown is
-//! SIGTERM-free: a [`ControlRequest::Shutdown`] flips the shared stop
-//! flag, the accept loop unblocks itself, and the process's main thread
-//! proceeds to halt the host.
+//! [`HostHandle::invoke`]. Two requests then wait on the driver thread
+//! with [`HostHandle::wait_for`], which wakes on the event that satisfies
+//! them instead of polling: an `Insert` is answered once the node's
+//! accepted-but-unstored rows are back within [`INSERT_WINDOW`] (flow
+//! control), and a distributed query, which the node answers
+//! asynchronously, once it finishes — its own deadline timer guarantees
+//! that event. Shutdown is SIGTERM-free: a [`ControlRequest::Shutdown`]
+//! flips the shared stop flag, the accept loop unblocks itself, and the
+//! process's main thread proceeds to halt the host.
 
 use crate::control::{ControlRequest, ControlResponse};
 use mind_core::audit::snapshot_node;
-use mind_core::{MindNode, QueryOutcome};
+use mind_core::MindNode;
 use mind_histogram::CutTree;
 use mind_net::frame::{read_frame, write_frame};
 use mind_net::{from_bytes, to_bytes, HostHandle};
@@ -19,10 +23,14 @@ use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// How long a control-side query waits for the distributed answer.
-const QUERY_WAIT: Duration = Duration::from_secs(120);
+/// Most rows a node may hold accepted but not yet stored at their owners
+/// when it answers an `Insert`: one full request or wire batch. The reply
+/// waits until the node is back within it, so acceptance cannot run
+/// ahead of storage and an acknowledged row is at most about one wire
+/// batch age from stored. Ingest is then paced by the batch age (a timer)
+/// rather than by how much CPU the host happens to get.
+const INSERT_WINDOW: usize = 64;
 
 /// Serves the control protocol for one hosted node until a
 /// [`ControlRequest::Shutdown`] arrives (or the stop flag is flipped by
@@ -98,6 +106,13 @@ fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> Con
                 }
                 Ok::<(), mind_types::MindError>(())
             });
+            // Flow control: answer once the origin is back within its
+            // window of accepted-but-unstored rows.
+            let r = match r {
+                Some(Ok(())) => handle
+                    .wait_for(|n| (n.unacked_insert_rows() <= INSERT_WINDOW).then_some(Ok(()))),
+                r => r,
+            };
             match r {
                 Some(Ok(())) => ControlResponse::Ok,
                 Some(Err(e)) => ControlResponse::Err(e.to_string()),
@@ -106,34 +121,17 @@ fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> Con
         }
         ControlRequest::Query { index, lo, hi } => {
             let rect = HyperRect::new(lo, hi);
-            let qid = {
-                let index = index.clone();
-                handle.invoke(move |n, now, out| n.query(now, &index, rect, vec![], out))
-            };
+            let qid = handle.invoke(move |n, now, out| n.query(now, &index, rect, vec![], out));
             let qid = match qid {
                 Some(Ok(q)) => q,
                 Some(Err(e)) => return ControlResponse::Err(e.to_string()),
                 None => return ControlResponse::Err("host stopped".into()),
             };
-            // The distributed query completes asynchronously; poll the
-            // tracker on the driver thread until it does.
-            let deadline = Instant::now() + QUERY_WAIT;
-            loop {
-                match handle.invoke(move |n, _now, _out| n.query_outcome(qid)) {
-                    Some(Some(outcome)) => return ControlResponse::Query(outcome),
-                    Some(None) => {
-                        if Instant::now() >= deadline {
-                            return ControlResponse::Query(QueryOutcome {
-                                complete: false,
-                                latency: None,
-                                records: vec![],
-                                cost_nodes: 0,
-                            });
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    None => return ControlResponse::Err("host stopped".into()),
-                }
+            // Completes (or times out) on the driver thread; taking the
+            // outcome frees the tracker.
+            match handle.wait_for(move |n| n.take_query_outcome(qid)) {
+                Some(outcome) => ControlResponse::Query(outcome),
+                None => ControlResponse::Err("host stopped".into()),
             }
         }
         ControlRequest::PrimaryRows { index } => {

@@ -317,6 +317,14 @@ fn loadgen_smoke_percentiles_monotone_and_ops_conserve() {
         report.render()
     );
     assert!(report.insert_rate > 0.0);
+    // Rows are stored after the origin accepts them: the stored rate can
+    // never beat the acceptance rate.
+    assert!(report.store_rate > 0.0);
+    assert!(
+        report.store_rate <= report.insert_rate,
+        "store_rate above insert_rate: {}",
+        report.render()
+    );
     let (p50, p99, p999) = report.insert_hist.percentiles();
     assert!(p50 <= p99 && p99 <= p999, "insert percentiles not monotone");
     let (q50, q99, q999) = report.query_hist.percentiles();

@@ -61,6 +61,18 @@ pub struct DacCostModel {
     pub per_result: SimTime,
 }
 
+impl DacCostModel {
+    /// No modelled cost: for hosts on a real clock, where the store work
+    /// already ran on the wall clock. Batches still release in arrival
+    /// order, one timer tick (1 µs) after they are processed.
+    pub const ZERO: DacCostModel = DacCostModel {
+        batch_overhead: 0,
+        per_insert: 0,
+        per_query: 0,
+        per_result: 0,
+    };
+}
+
 impl Default for DacCostModel {
     fn default() -> Self {
         DacCostModel {

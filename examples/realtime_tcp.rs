@@ -14,6 +14,7 @@ use mind::core::{MindConfig, MindNode, Replication};
 use mind::histogram::CutTree;
 use mind::net::TcpHost;
 use mind::overlay::{OverlayConfig, StaticTopology};
+use mind::store::DacCostModel;
 use mind::types::node::MILLIS;
 use mind::types::{AttrDef, AttrKind, HyperRect, IndexSchema, NodeId, Record};
 use std::collections::HashMap;
@@ -41,6 +42,11 @@ fn main() {
         hb_interval: 250 * MILLIS,
         ..OverlayConfig::default()
     };
+    // The store work runs on the wall clock: no modelled DAC cost on top.
+    let mind_cfg = MindConfig {
+        dac_cost: DacCostModel::ZERO,
+        ..MindConfig::default()
+    };
     let hosts: Vec<TcpHost<MindNode>> = listeners
         .into_iter()
         .enumerate()
@@ -50,7 +56,7 @@ fn main() {
                 topo.code(k),
                 topo.neighbor_entries(k),
                 overlay_cfg,
-                MindConfig::default(),
+                mind_cfg,
             );
             TcpHost::spawn(NodeId(k as u32), l, peers.clone(), node).unwrap()
         })
@@ -109,12 +115,11 @@ fn main() {
     let t0 = Instant::now();
     let qid =
         hosts[5].invoke(move |n, now, out| n.query(now, "live-flows", rect, vec![], out).unwrap());
-    let outcome = loop {
-        if let Some(o) = hosts[5].invoke(move |n, _t, _o| n.query_outcome(qid)) {
-            break o;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    // Wakes on the event that completes the query (or its deadline).
+    let outcome = hosts[5]
+        .handle()
+        .wait_for(move |n| n.take_query_outcome(qid))
+        .expect("host running");
     println!(
         "query over TCP: complete={} matches={} nodes={} wall-time={:?}",
         outcome.complete,

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # TCP runtime smoke gate: a real 4-process mind-node cluster on localhost,
 # hammered by mind-loadgen over the control protocol. Passes only if the
-# load generator reports nonzero sustained throughput, exact ops
-# conservation, and a clean fleet audit, and every node process exits 0
+# load generator reports nonzero sustained throughput, every query
+# complete, exact ops conservation, and a clean fleet audit, and every
+# node process exits 0
 # after the control-protocol shutdown (no signals involved).
 #
 #   ./scripts/tcp_smoke.sh [inserts] [min_rate]
@@ -15,6 +16,7 @@ cd "$(dirname "$0")/.."
 
 INSERTS="${1:-50000}"
 MIN_RATE="${2:-1}"
+QUERIES=16
 PORT_BASE="${TCP_SMOKE_PORT_BASE:-47610}"
 WORK="$(mktemp -d)"
 SPEC="$WORK/cluster.txt"
@@ -45,10 +47,11 @@ done
 
 echo "tcp-smoke: 4 nodes up, loading $INSERTS rows (min rate $MIN_RATE/s)"
 timeout 120 ./target/release/mind-loadgen --cluster "$SPEC" \
-    --inserts "$INSERTS" --batch 64 --queries 16 \
+    --inserts "$INSERTS" --batch 64 --queries "$QUERIES" \
     --min-insert-rate "$MIN_RATE" --shutdown | tee "$WORK/report.txt"
 
 grep -q "^conserved=true$" "$WORK/report.txt"
+grep -q "^queries_complete=$QUERIES/$QUERIES$" "$WORK/report.txt"
 grep -q "^audit_clean=true$" "$WORK/report.txt"
 
 # The shutdown was sent over the control protocol; every node must exit 0
